@@ -9,9 +9,9 @@ one ``authorize`` at a time.
 The speedup is *not* thread parallelism (the GIL serializes the CPU
 work): it is batch formation.  Clients share a small user population,
 so concurrent in-flight requests for one user queue together and
-drain through ``authorize_batch``, whose plan-key memo runs
-evaluation, mask derivation, masking, and permit inference once per
-distinct canonical plan per batch.  Under Zipf traffic a batch of 32
+drain through ``authorize_batch``, which runs evaluation, mask
+derivation, masking, and permit inference once per distinct compiled
+plan per batch.  Under Zipf traffic a batch of 32
 collapses onto a handful of distinct plans; the serial baseline pays
 full evaluation per request.
 

@@ -17,13 +17,12 @@ from typing import Dict, FrozenSet, Optional, Tuple
 # ----------------------------------------------------------------------
 
 #: ``module:qualname`` of the only functions allowed to catch broad
-#: ``Exception``: the engine's two authorize boundaries and the
-#: degradation ladder's rung loop.  Everything else must narrow to
-#: :class:`~repro.errors.ReproError` subtypes or re-raise.
+#: ``Exception``: ``authorize`` (the one materialized boundary, which
+#: batches and ladder-floor sheds also pass through), the streaming
+#: pair, and the degradation ladder's rung loop.  Everything else must
+#: narrow to :class:`~repro.errors.ReproError` subtypes or re-raise.
 FAIL_CLOSED_BOUNDARIES: FrozenSet[str] = frozenset({
     "repro.core.engine:AuthorizationEngine.authorize",
-    "repro.core.engine:AuthorizationEngine.authorize_batch",
-    "repro.core.engine:AuthorizationEngine.authorize_degraded",
     # The streaming pair: establishment failures fail the whole stream
     # closed, delivery failures fail the *remainder* closed.
     "repro.core.engine:AuthorizationEngine.authorize_stream",

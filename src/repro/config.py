@@ -107,10 +107,12 @@ class EngineConfig:
             exhausts its budget goes straight to the empty mask (or
             raises, in dev mode).
         fail_closed: catch any internal error past parsing/validation
-            inside ``authorize``/``authorize_batch`` and return the
-            empty-mask answer (with ``AuthorizedAnswer.error`` set)
-            instead of propagating.  Set to False in development to get
-            the original traceback.
+            at ``authorize`` — the one materialized boundary, which
+            every ``authorize_batch`` element and every ladder-floor
+            shed passes through — and at the streaming pair, returning
+            the empty-mask answer (with ``error`` set) instead of
+            propagating.  Set to False in development to get the
+            original traceback.
         backend: which execution backend evaluates answers —
             ``"python"`` (the in-process reference evaluator),
             ``"sqlite"`` (plans compiled to SQL over an embedded

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -60,7 +61,7 @@ from repro.core.compiled_mask import (
     compile_mask,
 )
 from repro.core.mask import Mask
-from repro.core.statements import InferredPermit, infer_permits
+from repro.core.statements import infer_permits
 from repro.core.stream import AnswerStream, MaskedChunk
 from repro.errors import (
     BackendUnavailableError,
@@ -202,23 +203,41 @@ class AuthorizationEngine:
     # the authorization process (Section 5)
     # ------------------------------------------------------------------
 
-    def authorize(self, user: str,
-                  query: Union[Query, str]) -> AuthorizedAnswer:
+    def authorize(self, user: str, query: Union[Query, str],
+                  floor: int = 0,
+                  reason: Optional[str] = None) -> AuthorizedAnswer:
         """Answer ``query`` for ``user``, masked to their permissions.
+
+        ``floor`` is the degradation-ladder rung to derive at — the
+        serving layer's admission-control shed path.  Under overload a
+        server trades fidelity for latency instead of queueing
+        unboundedly: above rung 0 the mask is derived with the
+        (cheaper) configuration of rung ``floor`` (see
+        :func:`repro.metaalgebra.ladder.rung_config`), which by the
+        ladder-subset invariant delivers a subset of the full answer —
+        shedding can only ever *hide* more.  A live cached
+        full-fidelity derivation is still served (a hit costs almost
+        nothing), ``floor >= EMPTY_LEVEL`` answers empty without
+        evaluating the query at all, and degraded derivations are never
+        cached, so an overload cannot poison later answers.  ``reason``
+        (default ``"admission shed to rung N"``) is recorded on shed
+        answers.
 
         **Fail-closed contract** (``config.fail_closed``, the default):
         past parsing and plan validation — which still raise, so the
         caller can tell a malformed request from a denial — no internal
-        failure ever propagates.  Budget exhaustion re-derives down the
-        degradation ladder (the mask shrinks, never grows); anything
-        else yields the empty-mask answer with
+        failure ever propagates.  This method is the engine's one
+        materialized fail-closed boundary.  Budget exhaustion
+        re-derives down the degradation ladder (the mask shrinks, never
+        grows); anything else yields the empty-mask answer with
         :attr:`AuthorizedAnswer.error` set.  With ``fail_closed=False``
         (development), internal errors re-raise instead.
         """
         query = self._parse_query(query, "authorize")
         plan = self._compile(query)
         try:
-            authorized = self._authorize_plan(user, query, plan)
+            authorized = self._authorize_plan(user, query, plan, floor,
+                                              reason)
         except BackendUnavailableError:
             # Only reachable with backend_failover off: a vanished
             # backend is the operator's misconfiguration, not a
@@ -227,62 +246,76 @@ class AuthorizationEngine:
         except Exception as error:  # the fail-closed boundary
             if not self.config.fail_closed:
                 raise
-            authorized = self._failed_answer(user, query, plan, error)
+            authorized = self._denied_answer(
+                user, query, plan, f"{type(error).__name__}: {error}"
+            )
         if self.audit is not None:
             self.audit.record(authorized)
         return authorized
 
-    def _authorize_plan(self, user: str, query: Query,
-                        plan: PSJQuery) -> AuthorizedAnswer:
-        """The unprotected authorize path (inside the boundary)."""
-        outcome = self._evaluate(plan)
-        derivation, hit = self._derive_plan(user, plan)
+    def authorize_degraded(
+        self, user: str, query: Union[Query, str], floor: int,
+        reason: Optional[str] = None,
+    ) -> AuthorizedAnswer:
+        """Alias of ``authorize(user, query, floor, reason)``."""
+        return self.authorize(user, query, floor, reason)
+
+    def _authorize_plan(self, user: str, query: Query, plan: PSJQuery,
+                        floor: int,
+                        reason: Optional[str]) -> AuthorizedAnswer:
+        """The unprotected authorize path (inside the boundary).
+
+        At full fidelity the answer is evaluated before the mask is
+        derived (seeded fault plans depend on that order of fault-site
+        visits); a shed derives first, so an empty rung can skip
+        evaluation altogether.
+        """
+        floor = max(0, min(floor, EMPTY_LEVEL))
+        if floor == 0:
+            outcome = self._evaluate(plan)
+            derivation, hit = self._derive_plan(user, plan)
+        else:
+            reason = reason or f"admission shed to rung {floor}"
+            derivation, hit = self._derive_plan(user, plan, floor,
+                                                reason)
+            if derivation.degradation_level >= EMPTY_LEVEL:
+                return self._denied_answer(user, query, plan, reason)
+            outcome = self._evaluate(plan)
         return self._assemble(user, query, plan, outcome, derivation,
                               hit)
 
     def _evaluate(self, plan: PSJQuery) -> ExecutionOutcome:
         """Evaluate ``plan`` through the resilient executor.
 
-        The single answer-evaluation site of both authorize paths
-        (full-fidelity and degraded).  The ``engine.evaluate`` fault
-        site fires here, *outside* the executor, and stays fail-closed
-        (it models a failure in the engine itself); the
-        ``backend.execute`` site fires inside the executor's retry
-        loop, so injected backend faults are retried and failed over
-        like real ones.  Only an executor whose safety net is
-        exhausted or disabled lets a failure propagate to the
+        The single answer-evaluation site of the materialized path.
+        The ``engine.evaluate`` fault site fires here, *outside* the
+        executor, and stays fail-closed (it models a failure in the
+        engine itself); the ``backend.execute`` site fires inside the
+        executor's retry loop, so injected backend faults are retried
+        and failed over like real ones.  Only an executor whose safety
+        net is exhausted or disabled lets a failure propagate to the
         fail-closed boundary.
         """
         maybe_fault("engine.evaluate")
         return self.executor.execute(plan)
 
     def authorize_batch(
-        self, user: str, queries: Iterable[Union[Query, str]]
+        self, user: str, queries: Iterable[Union[Query, str]],
+        floor: int = 0,
     ) -> Tuple[AuthorizedAnswer, ...]:
-        """Authorize many queries for one user, sharing derived work.
+        """Authorize many queries for one user at one ladder ``floor``,
+        sharing derived work.
 
-        Statements are parsed once per distinct text, compiled once per
-        distinct query, and the mask derivation, answer evaluation,
-        masking, and permit inference run once per distinct *canonical
-        plan* — repeated or plan-equivalent requests reuse the batch's
-        own memo (and the engine's derivation cache when enabled).  The
-        result is element-wise equal to looping ``authorize`` over
-        ``queries``; ``tests/test_derivation_cache.py`` enforces that
-        equality.
-
-        The fail-closed boundary applies per element: a failure while
-        processing one query yields an empty-mask answer for that
-        element and does not disturb its neighbours (failed elements
-        are never memoized, so a transient fault cannot replay).
+        Statements are parsed once per distinct text and
+        :meth:`authorize` runs once per distinct compiled plan; a
+        repeated plan reuses that answer (with ``cache_hit`` set) and
+        is audited again.  An answer with ``error`` set is never
+        reused, so a transient fault cannot replay.  The result is
+        element-wise equal to looping ``authorize`` over ``queries``;
+        ``tests/test_derivation_cache.py`` enforces that equality.
         """
         parsed: Dict[str, Query] = {}
-        plans: Dict[Query, PSJQuery] = {}
-        computed: Dict[PlanKey, Tuple[
-            Relation, MaskDerivation, Mask, Tuple[Tuple, ...],
-            Tuple[InferredPermit, ...], int, Optional[str],
-            Optional[str],
-        ]] = {}
-
+        first: Dict[PSJQuery, AuthorizedAnswer] = {}
         answers: List[AuthorizedAnswer] = []
         for item in queries:
             if isinstance(item, str):
@@ -292,51 +325,16 @@ class AuthorizationEngine:
                     parsed[item] = query
             else:
                 query = item
-            plan = plans.get(query)
-            if plan is None:
-                plan = self._compile(query)
-                plans[query] = plan
-
-            try:
-                key = self._plan_key(plan)
-                memo = computed.get(key)
-                if memo is None:
-                    authorized = self._authorize_plan(user, query, plan)
-                    computed[key] = (
-                        authorized.answer, authorized.derivation,
-                        authorized.mask, authorized.delivered,
-                        authorized.permits,
-                        authorized.degradation_level,
-                        authorized.backend_used,
-                        authorized.failover_reason,
-                    )
-                else:
-                    answer, derivation, mask, delivered, permits, \
-                        level, backend_used, failover_reason = memo
-                    authorized = AuthorizedAnswer(
-                        user=user,
-                        query=query,
-                        plan=plan,
-                        answer=answer,
-                        mask=mask,
-                        delivered=delivered,
-                        permits=permits,
-                        derivation=derivation,
-                        cache_hit=True,
-                        degradation_level=level,
-                        backend_used=backend_used,
-                        failover_reason=failover_reason,
-                    )
-            except BackendUnavailableError:
-                # See authorize(): typed misconfiguration escapes.
-                raise
-            except Exception as error:  # the fail-closed boundary
-                if not self.config.fail_closed:
-                    raise
-                authorized = self._failed_answer(user, query, plan,
-                                                 error)
-            if self.audit is not None:
-                self.audit.record(authorized)
+            plan = self._compile(query)
+            authorized = first.get(plan)
+            if authorized is None or authorized.error is not None:
+                authorized = self.authorize(user, query, floor)
+                first[plan] = authorized
+            else:
+                authorized = replace(authorized, query=query,
+                                     cache_hit=True)
+                if self.audit is not None:
+                    self.audit.record(authorized)
             answers.append(authorized)
         return tuple(answers)
 
@@ -546,104 +544,6 @@ class AuthorizationEngine:
             failover_reason=stream.failover_reason,
         )
 
-    def authorize_degraded(
-        self, user: str, query: Union[Query, str], floor: int,
-        reason: Optional[str] = None,
-    ) -> AuthorizedAnswer:
-        """Answer ``query`` at degradation-ladder rung ``floor`` or
-        below — the serving layer's admission-control shed path.
-
-        Under overload a server trades fidelity for latency instead of
-        queueing unboundedly: the mask is derived with the (cheaper)
-        configuration of rung ``floor`` (see
-        :func:`repro.metaalgebra.ladder.rung_config`), which by the
-        ladder-subset invariant delivers a subset of the full answer —
-        shedding can only ever *hide* more.  Two refinements keep the
-        cost of shedding low:
-
-        * a live cached full-fidelity derivation is still served (a
-          hit costs almost nothing, so there is nothing to shed);
-        * ``floor >= EMPTY_LEVEL`` short-circuits to the empty answer
-          without evaluating the query at all.
-
-        Degraded derivations are never stored in the cache, so an
-        overload can never poison post-overload answers.  The same
-        fail-closed contract as :meth:`authorize` applies.
-        """
-        query = self._parse_query(query, "authorize_degraded")
-        plan = self._compile(query)
-        try:
-            authorized = self._authorize_plan_degraded(
-                user, query, plan, floor, reason
-            )
-        except BackendUnavailableError:
-            # See authorize(): typed misconfiguration escapes.
-            raise
-        except Exception as error:  # the fail-closed boundary
-            if not self.config.fail_closed:
-                raise
-            authorized = self._failed_answer(user, query, plan, error)
-        if self.audit is not None:
-            self.audit.record(authorized)
-        return authorized
-
-    def _authorize_plan_degraded(
-        self, user: str, query: Query, plan: PSJQuery, floor: int,
-        reason: Optional[str],
-    ) -> AuthorizedAnswer:
-        """The unprotected shed path (inside the boundary)."""
-        floor = max(0, min(floor, EMPTY_LEVEL))
-        if floor == 0:
-            return self._authorize_plan(user, query, plan)
-        reason = reason or f"admission shed to rung {floor}"
-        derivation, hit = self._derive_degraded(
-            user, plan, floor, reason
-        )
-        if derivation.degradation_level >= EMPTY_LEVEL:
-            # Nothing will be delivered: skip answer evaluation too.
-            return self._denied_answer(user, query, plan, reason)
-        outcome = self._evaluate(plan)
-        return self._assemble(user, query, plan, outcome, derivation,
-                              hit)
-
-    def _derive_degraded(
-        self, user: str, plan: PSJQuery, floor: int, reason: str,
-    ) -> Tuple[MaskDerivation, bool]:
-        """A derivation at rung ``floor`` or below, preferring a live
-        cached full-fidelity entry (which costs nothing to serve)."""
-        cache = self._derivation_cache
-        if cache.enabled:
-            key = self._plan_key(plan)
-            token = self.catalog.cache_token(user)
-            try:
-                cached = cache.get(user, key, token)
-            except ReproError:
-                if not self.config.fail_closed:
-                    raise
-                cached = None
-            if self._valid_cached(cached):
-                assert isinstance(cached, MaskDerivation)
-                return cached, True
-        if floor >= EMPTY_LEVEL:
-            return empty_derivation(
-                plan, self.database.schema, reason=reason
-            ), False
-        rung = rung_config(self.config, floor)
-        assert rung is not None
-        derivation = self._derive_uncached(user, plan, config=rung)
-        # derive_mask_resilient reports the rung relative to the
-        # configuration it was handed; rungs compose by max, so the
-        # absolute level is max(floor, relative) — except the empty
-        # floor, which is already absolute.
-        if derivation.degradation_level < EMPTY_LEVEL:
-            derivation.degradation_level = max(
-                floor, derivation.degradation_level
-            )
-        if derivation.degradation_reason is None:
-            derivation.degradation_reason = reason
-        # Degraded masks are never cached (see _derive_plan).
-        return derivation, False
-
     def prepare(self, query: Union[Query, str]) -> Query:
         """Parse and plan ``query`` without touching any data.
 
@@ -661,7 +561,7 @@ class AuthorizationEngine:
              reason: str) -> AuthorizedAnswer:
         """An audited, empty-mask denial of ``query``.
 
-        Unlike :meth:`authorize_degraded` at the EMPTY floor, this
+        Unlike :meth:`authorize` at the EMPTY floor, this
         never consults the derivation cache and never evaluates the
         query: the cost is bounded by plan compilation (memoized) and
         the answer is guaranteed empty.  The serving layer uses it for
@@ -835,13 +735,6 @@ class AuthorizationEngine:
                     raise
         return compiled
 
-    def _failed_answer(self, user: str, query: Query, plan: PSJQuery,
-                       error: Exception) -> AuthorizedAnswer:
-        """The fail-closed fallback: nothing delivered, error recorded."""
-        return self._denied_answer(
-            user, query, plan, f"{type(error).__name__}: {error}"
-        )
-
     def _denied_answer(self, user: str, query: Query, plan: PSJQuery,
                        reason: str) -> AuthorizedAnswer:
         """An empty-mask answer: nothing delivered, ``reason`` recorded.
@@ -872,9 +765,17 @@ class AuthorizationEngine:
             error=reason,
         )
 
-    def _derive_plan(self, user: str,
-                     plan: PSJQuery) -> Tuple[MaskDerivation, bool]:
-        """Cached mask derivation; the bool reports a cache hit.
+    def _derive_plan(
+        self, user: str, plan: PSJQuery, floor: int = 0,
+        reason: Optional[str] = None,
+    ) -> Tuple[MaskDerivation, bool]:
+        """Cached mask derivation at rung ``floor`` or below; the bool
+        reports a cache hit.
+
+        A live cached entry is always full fidelity, so it is served at
+        any floor.  Only a full-fidelity derivation made at floor 0 is
+        stored: degraded masks are transient by design, and caching one
+        would keep serving the shrunken mask after the overload passed.
 
         The cache is treated as an untrusted accelerator: a lookup
         failure degrades to a fresh derivation, a stored entry that is
@@ -882,23 +783,37 @@ class AuthorizationEngine:
         a store failure loses only future hits — never the answer.
         """
         cache = self._derivation_cache
-        if not cache.enabled:
-            return self._derive_uncached(user, plan), False
-        key = self._plan_key(plan)
-        token = self.catalog.cache_token(user)
-        try:
-            cached = cache.get(user, key, token)
-        except ReproError:
-            if not self.config.fail_closed:
-                raise
-            cached = None
-        if self._valid_cached(cached):
-            assert isinstance(cached, MaskDerivation)
-            return cached, True
-        derivation = self._derive_uncached(user, plan)
-        if derivation.degradation_level == 0:
-            # Degraded masks are transient by design: caching one would
-            # keep serving the shrunken mask after the overload passed.
+        if cache.enabled:
+            key = self._plan_key(plan)
+            token = self.catalog.cache_token(user)
+            try:
+                cached = cache.get(user, key, token)
+            except ReproError:
+                if not self.config.fail_closed:
+                    raise
+                cached = None
+            if self._valid_cached(cached):
+                assert isinstance(cached, MaskDerivation)
+                return cached, True
+        if floor >= EMPTY_LEVEL:
+            return empty_derivation(
+                plan, self.database.schema, reason=reason
+            ), False
+        derivation = self._derive_uncached(
+            user, plan, config=rung_config(self.config, floor)
+        )
+        if floor:
+            # derive_mask_resilient reports the rung relative to the
+            # configuration it was handed; rungs compose by max, so
+            # the absolute level is max(floor, relative) — except the
+            # empty rung, which is already absolute.
+            if derivation.degradation_level < EMPTY_LEVEL:
+                derivation.degradation_level = max(
+                    floor, derivation.degradation_level
+                )
+            if derivation.degradation_reason is None:
+                derivation.degradation_reason = reason
+        elif derivation.degradation_level == 0 and cache.enabled:
             try:
                 cache.put(user, key, token, derivation)
             except ReproError:

@@ -5,9 +5,10 @@ multi-tenant service with three load-bearing properties:
 
 **Batching, not just threading.**  Requests are queued per
 ``(tenant, user)`` and drained in batches through
-:meth:`~repro.core.engine.AuthorizationEngine.authorize_batch`, whose
-plan-key memo runs parsing, evaluation, mask derivation, and permit
-inference once per distinct canonical plan in the batch.  Under a
+:meth:`~repro.core.engine.AuthorizationEngine.authorize_batch`, which
+parses once per distinct text and runs ``authorize`` (evaluation, mask
+derivation, masking, permit inference) once per distinct compiled plan
+in the batch, at the batch's ladder floor.  Under a
 skewed (Zipf) workload most of a batch collapses onto a few plans, so
 throughput scales well past what thread parallelism alone could give
 a GIL-bound process.
@@ -437,26 +438,19 @@ class AuthorizationServer:
                     rung = max(floor, self.config.deadline_floor)
                     for pending in expired:
                         pending.future.set_result(
-                            engine.authorize_degraded(
+                            engine.authorize(
                                 user, pending.query, rung,
                                 reason="request deadline exceeded",
                             )
                         )
-                queries = [pending.query for pending in fresh]
-                if floor == 0:
-                    answers = engine.authorize_batch(user, queries)
-                else:
+                if floor:
                     # Overloaded: derive at a cheaper rung.  Degraded
                     # masks are subsets of the full-fidelity mask, so
                     # shedding narrows delivery, never widens it.
                     self._admission.note_shed(floor, len(fresh))
-                    answers = tuple(
-                        engine.authorize_degraded(
-                            user, query, floor,
-                            reason=f"admission shed to rung {floor}",
-                        )
-                        for query in queries
-                    )
+                answers = engine.authorize_batch(
+                    user, [pending.query for pending in fresh], floor
+                )
                 for pending, answer in zip(fresh, answers):
                     pending.future.set_result(answer)
             except ReproError as error:

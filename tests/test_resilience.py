@@ -3,7 +3,8 @@
 Covers the resource budget in isolation (with a fake clock), the
 degradation ladder's rung configurations, the engine-level behaviour
 under budget exhaustion and injected faults, cache-corruption
-transparency, and the per-element boundary of ``authorize_batch``.
+transparency, the ladder-floor shed path, and the per-element boundary
+of ``authorize_batch``.
 The cross-cutting soundness properties (subset chains across rungs,
 delivery under random faults) live in
 ``tests/property/test_degradation_ladder.py`` and
@@ -277,6 +278,64 @@ class TestBudgetDegradation:
 
 
 # ----------------------------------------------------------------------
+# admission shedding: authorize at a ladder floor
+# ----------------------------------------------------------------------
+
+
+def shed_view(answer):
+    """What a shed must agree on: delivery, rung and diagnostic."""
+    return answer.delivered, answer.degradation_level, answer.error
+
+
+class TestShedFloor:
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    def test_live_cached_derivation_is_served(self, floor):
+        engine = build_paper_engine()
+        full = engine.authorize("Brown", EXAMPLE_1_QUERY)
+        shed = engine.authorize("Brown", EXAMPLE_1_QUERY, floor)
+        assert shed.cache_hit
+        assert shed_view(shed) == shed_view(full)
+
+    def test_cold_empty_floor_never_evaluates(self):
+        engine = build_paper_engine()
+        with inject({"engine.evaluate": Fault("raise")}) as plan:
+            shed = engine.authorize("Brown", EXAMPLE_1_QUERY,
+                                    floor=EMPTY_LEVEL)
+        assert plan.trips["engine.evaluate"] == 0
+        assert shed.backend_used is None
+        assert shed.delivered == ()
+        assert shed.degradation_level == EMPTY_LEVEL
+        assert "FaultInjected" not in (shed.error or "")
+
+    @pytest.mark.parametrize("floor", [1, 2, 3])
+    def test_degraded_derivations_are_never_stored(self, floor):
+        engine = build_paper_engine()
+        shed = engine.authorize("Klein", EXAMPLE_2_QUERY, floor)
+        assert shed.degradation_level >= floor
+        assert not shed.cache_hit
+        after = engine.authorize("Klein", EXAMPLE_2_QUERY)
+        assert after.degradation_level == 0
+        assert not after.cache_hit
+        assert engine.stats().hits == 0
+
+    @pytest.mark.parametrize("cache_size", [0, 256])
+    @pytest.mark.parametrize("floor", range(EMPTY_LEVEL + 1))
+    def test_batch_equals_loop_at_every_floor(self, floor, cache_size):
+        config = DEFAULT_CONFIG.but(derivation_cache_size=cache_size)
+        queries = [EXAMPLE_1_QUERY, EXAMPLE_2_QUERY, EXAMPLE_3_QUERY,
+                   EXAMPLE_1_QUERY, EXAMPLE_2_QUERY]
+        for user in ("Brown", "Klein"):
+            batch = build_paper_engine(config).authorize_batch(
+                user, queries, floor
+            )
+            loop_engine = build_paper_engine(config)
+            loop = [loop_engine.authorize(user, query, floor=floor)
+                    for query in queries]
+            assert [shed_view(a) for a in batch] == \
+                [shed_view(a) for a in loop]
+
+
+# ----------------------------------------------------------------------
 # the engine under injected faults
 # ----------------------------------------------------------------------
 
@@ -377,6 +436,22 @@ class TestFailClosed:
         assert visible_cells(answers[1]) == visible_cells(
             build_paper_engine().authorize("Brown", EXAMPLE_1_QUERY)
         )
+
+    def test_batch_never_reuses_an_errored_answer(self):
+        # A persistent plan fault drives every rung down to the empty
+        # mask, so the answer carries an error; a repeat in the batch
+        # must carry it too, exactly as a loop of authorize does.
+        audit = AuditLog()
+        engine = build_paper_engine()
+        engine.audit = audit
+        with inject({"plan": Fault("raise")}):
+            answers = engine.authorize_batch(
+                "Brown", [EXAMPLE_1_QUERY, EXAMPLE_1_QUERY]
+            )
+        assert [a.degradation_level for a in answers] == \
+            [EMPTY_LEVEL, EMPTY_LEVEL]
+        assert all(a.error is not None for a in answers)
+        assert all(r.error is not None for r in audit.records())
 
     def test_audit_records_degradation_and_failure(self):
         audit = AuditLog()
