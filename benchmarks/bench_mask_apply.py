@@ -13,8 +13,8 @@ claimed speedups are machine-checkable alongside the committed copy.
 
 PR 9 adds the columnar data plane's bars, written to ``BENCH_PR9.json``:
 
-* at 10^6 rows, ``apply_mask_columnar`` (pure Python, numpy off) must
-  beat the PR 4 row kernel by >= 4x rows/sec, byte-identically;
+* at 10^6 rows, ``apply_mask_columnar`` must beat the PR 4 row kernel
+  by >= 4x rows/sec, byte-identically;
 * at 10^7 rows (``REPRO_BENCH_1E7=1``, off by default — minutes), the
   chunk-streamed ``iter_apply_chunked`` run must finish inside a
   bounded-memory assertion in a subprocess, with sampled chunks
@@ -332,19 +332,6 @@ def test_columnar_speedup_1e6():
         "speedup_bar": COLUMNAR_SPEEDUP_BAR,
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
-
-    from repro.algebra.columnar import have_numpy
-
-    if have_numpy():
-        numpy_s = _median_seconds(
-            lambda: apply_mask_columnar(compiled, answer,
-                                        use_numpy=True),
-            repeats=3,
-        )
-        payload["columnar_numpy_median_ms"] = round(numpy_s * 1e3, 1)
-        payload["columnar_numpy_rows_per_sec"] = round(
-            SCALE_1E6 / numpy_s
-        )
 
     _record9("columnar_1e6", payload)
     print(f"\ncolumnar 1e6: row kernel {row_s * 1e3:.0f}ms "

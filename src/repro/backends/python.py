@@ -74,27 +74,17 @@ class PythonBackend:
         mask: Mask,
         compiled: Optional[CompiledMask] = None,
         drop_fully_masked: bool = False,
-        columnar: bool = True,
-        use_numpy: bool = False,
     ) -> Tuple[Tuple, ...]:
         """Evaluate then mask — the reference composition.
 
         With a ``compiled`` mask the columnar kernel
-        (:func:`repro.core.compiled_mask.apply_mask_columnar`) is the
-        default route; ``columnar=False`` selects the PR 4 row kernel
-        and ``use_numpy=True`` opts the columnar kernel into its numpy
-        broadcast path.  All three routes are byte-identical
-        (``tests/property/test_columnar_relation.py``).
+        (:func:`repro.core.compiled_mask.apply_mask_columnar`) masks
+        the answer, else the interpreted ``mask`` does; both are
+        byte-identical (``tests/property/test_columnar_relation.py``).
         """
         answer = self.execute(plan)
         if compiled is not None:
-            if columnar:
-                return apply_mask_columnar(
-                    compiled, answer,
-                    drop_fully_masked=drop_fully_masked,
-                    use_numpy=use_numpy,
-                )
-            return compiled.apply(
-                answer, drop_fully_masked=drop_fully_masked
+            return apply_mask_columnar(
+                compiled, answer, drop_fully_masked=drop_fully_masked,
             )
         return mask.apply(answer, drop_fully_masked=drop_fully_masked)

@@ -67,6 +67,10 @@ class EngineConfig:
             ``docs/CACHING.md``).  0 disables caching; the delivered
             answers are identical either way (the transparency
             guarantee enforced by ``tests/test_derivation_cache.py``).
+            The engine's plan memos are bounded by
+            ``max(512, 4 * derivation_cache_size)``.  A tenant that
+            :meth:`~repro.serving.server.AuthorizationServer.add_tenant`
+            builds takes this size from ``ServerConfig.cache_capacity``.
         max_mask_rows: budget — cap on meta-tuples materialized by any
             single meta-algebra operator node during one derivation
             (0 = unlimited).  Exceeding it triggers the degradation
@@ -156,13 +160,6 @@ class EngineConfig:
             Mask.apply` (``tests/property/test_columnar_relation.py``);
             the switch opts back into the row kernel for A/B
             benchmarking.  See ``docs/PERFORMANCE.md``.
-        columnar_numpy: accelerate the columnar kernel's broadcast
-            passes (constant-free mask rows: equality groups and
-            interval filters) with numpy when the library is
-            importable.  Off by default — the pure-Python columnar
-            kernel is the reference; output is identical either way,
-            and the flag silently degrades to pure Python when numpy
-            is absent (no hard dependency).
         stream_chunk_size: rows per delivered chunk in
             :meth:`~repro.core.engine.AuthorizationEngine.
             authorize_stream` (and the default chunk granularity of
@@ -201,7 +198,6 @@ class EngineConfig:
     breaker_failure_threshold: int = 5
     breaker_recovery_ms: float = 1000.0
     columnar_masks: bool = True
-    columnar_numpy: bool = False
     stream_chunk_size: int = 8192
     max_stream_rows: int = 0
 

@@ -25,12 +25,15 @@ Control").  The differential and property suites in
 **Thread safety.**  Every public method takes the cache's internal
 lock, so lookups, stores, stats increments and LRU eviction are atomic
 with respect to each other — the serving layer
-(:mod:`repro.serving`) shares one cache between many worker threads.
-The invariant survives concurrent mutation because tokens are captured
-*before* a derivation starts: a revoke that lands mid-derivation bumps
-the live token, so the entry stored afterwards (under the stale token)
-can never be served.  ``tests/property/test_concurrent_cache.py``
-exercises exactly these interleavings.
+(:mod:`repro.serving`) gives each tenant one cache shared by all of
+its worker threads.  One lock is enough: every critical section is a
+few dict operations, and under the GIL two of them could not run at
+the same time anyway.  The invariant survives concurrent mutation
+because tokens are captured *before* a derivation starts: a revoke
+that lands mid-derivation bumps the live token, so the entry stored
+afterwards (under the stale token) can never be served.
+``tests/property/test_concurrent_cache.py`` exercises exactly these
+interleavings.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Protocol, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.metaalgebra.canonical import PlanKey
 from repro.metaalgebra.plan import MaskDerivation
@@ -66,17 +69,6 @@ class CacheStats:
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
-
-    @classmethod
-    def merged(cls, parts: Iterable["CacheStats"]) -> "CacheStats":
-        """Counter-wise sum of ``parts`` (shard aggregation)."""
-        total = cls()
-        for part in parts:
-            total.hits += part.hits
-            total.misses += part.misses
-            total.invalidations += part.invalidations
-            total.evictions += part.evictions
-        return total
 
     @property
     def lookups(self) -> int:
@@ -113,43 +105,6 @@ class _Entry:
     compiled: Optional[object] = None
 
 
-class DerivationCacheLike(Protocol):
-    """What the engine needs from a derivation cache.
-
-    :class:`DerivationCache` is the reference implementation; the
-    serving layer's lock-striped
-    :class:`~repro.serving.shards.ShardedDerivationCache` implements
-    the same surface over many internal shards.
-    """
-
-    @property
-    def stats(self) -> CacheStats: ...  # noqa: E704
-
-    @property
-    def enabled(self) -> bool: ...  # noqa: E704
-
-    def __len__(self) -> int: ...  # noqa: E704
-
-    def get(self, user: str, plan_key: PlanKey,
-            token: CacheToken) -> Optional[MaskDerivation]: ...  # noqa: E704
-
-    def put(self, user: str, plan_key: PlanKey, token: CacheToken,
-            derivation: MaskDerivation) -> None: ...  # noqa: E704
-
-    def get_compiled(self, user: str, plan_key: PlanKey,
-                     token: CacheToken) -> Optional[object]: ...  # noqa: E704
-
-    def put_compiled(self, user: str, plan_key: PlanKey,
-                     token: CacheToken,
-                     compiled: object) -> None: ...  # noqa: E704
-
-    def invalidate_user(self, user: str) -> None: ...  # noqa: E704
-
-    def clear(self) -> None: ...  # noqa: E704
-
-    def users(self) -> Tuple[str, ...]: ...  # noqa: E704
-
-
 class DerivationCache:
     """LRU cache of mask derivations with version invalidation.
 
@@ -161,6 +116,8 @@ class DerivationCache:
     increments, the stale-entry discard inside :meth:`get`, and the
     store-plus-eviction inside :meth:`put` each happen as a unit, so
     the cache may be shared between threads (the serving layer does).
+    :attr:`stats` is a snapshot copied under the same lock, so a
+    caller can subtract a before copy from an after copy.
     Derivations themselves are computed outside the cache and never
     mutated after a store, so served references are safe to read
     without the lock.
@@ -168,7 +125,7 @@ class DerivationCache:
 
     def __init__(self, capacity: int = 128) -> None:
         self.capacity = capacity
-        self.stats = CacheStats()
+        self._stats = CacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[str, PlanKey], _Entry]" = \
             OrderedDict()
@@ -176,6 +133,12 @@ class DerivationCache:
     @property
     def enabled(self) -> bool:
         return self.capacity > 0
+
+    @property
+    def stats(self) -> CacheStats:
+        """A point-in-time copy of the counters (never the live ones)."""
+        with self._lock:
+            return replace(self._stats)
 
     def __len__(self) -> int:
         with self._lock:
@@ -195,15 +158,15 @@ class DerivationCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                self._stats.misses += 1
                 return None
             if entry.token != token:
                 del self._entries[key]
-                self.stats.invalidations += 1
-                self.stats.misses += 1
+                self._stats.invalidations += 1
+                self._stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
+            self._stats.hits += 1
         # The engine revalidates what comes back (see
         # AuthorizationEngine._valid_cached): a corrupted entry is
         # treated as a miss, never served.
@@ -221,7 +184,7 @@ class DerivationCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
+                self._stats.evictions += 1
 
     # ------------------------------------------------------------------
     # compiled mask kernels (stored alongside the derivation)
@@ -272,12 +235,12 @@ class DerivationCache:
             stale = [key for key in self._entries if key[0] == user]
             for key in stale:
                 del self._entries[key]
-            self.stats.invalidations += len(stale)
+            self._stats.invalidations += len(stale)
 
     def clear(self) -> None:
         """Drop every entry (counters survive)."""
         with self._lock:
-            self.stats.invalidations += len(self._entries)
+            self._stats.invalidations += len(self._entries)
             self._entries.clear()
 
     def users(self) -> Tuple[str, ...]:

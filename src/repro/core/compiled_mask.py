@@ -68,7 +68,6 @@ from repro.algebra.columnar import (
     DEFAULT_CHUNK_SIZE,
     columns_of,
     iter_chunks,
-    numpy_or_none,
 )
 from repro.algebra.relation import Relation, Row
 from repro.algebra.to_sql import MaskPredicateRow, MaskPredicateView
@@ -258,8 +257,7 @@ class CompiledMask:
         return plan
 
     def apply_rows(self, rows: Sequence[Row],
-                   drop_fully_masked: bool = False,
-                   use_numpy: bool = False) -> Tuple[Tuple, ...]:
+                   drop_fully_masked: bool = False) -> Tuple[Tuple, ...]:
         """Mask one chunk of (already deduplicated) rows columnar-ly.
 
         The chunk unit of :func:`iter_apply_chunked`; byte-identical
@@ -269,12 +267,11 @@ class CompiledMask:
             return ()
         return self.apply_columns(
             columns_of(rows, self.ncols), len(rows),
-            drop_fully_masked=drop_fully_masked, use_numpy=use_numpy,
+            drop_fully_masked=drop_fully_masked,
         )
 
     def apply_columns(self, cols: Columns, nrows: int,
-                      drop_fully_masked: bool = False,
-                      use_numpy: bool = False) -> Tuple[Tuple, ...]:
+                      drop_fully_masked: bool = False) -> Tuple[Tuple, ...]:
         """Mask ``nrows`` rows given as per-column value sequences."""
         ncols = self.ncols
         if ncols == 0:
@@ -283,7 +280,7 @@ class CompiledMask:
             return () if drop_fully_masked else ((),) * nrows
         if self.covers_all:
             return tuple(zip(*cols))
-        vis = self._match_columns(cols, nrows, use_numpy)
+        vis = self._match_columns(cols, nrows)
         out_cols: List[Sequence[Value]] = []
         for c in range(ncols):
             flags = vis[c]
@@ -308,7 +305,7 @@ class CompiledMask:
         return tuple(delivered)
 
     def _match_columns(
-        self, cols: Columns, nrows: int, use_numpy: bool,
+        self, cols: Columns, nrows: int,
     ) -> List[Optional[bytearray]]:
         """Visibility flags per column (``None`` = always visible)."""
         vis: List[Optional[bytearray]] = [
@@ -316,8 +313,6 @@ class CompiledMask:
             for c in range(self.ncols)
         ]
         plan = self.columnar_plan()
-        numpy = numpy_or_none() if use_numpy else None
-        arrays: Dict[int, Any] = {}
 
         # Constant-signature groups: one hash-probe sweep per group,
         # grouping hit indices by value so each matching mask row runs
@@ -348,13 +343,7 @@ class CompiledMask:
         # pay the expensive pass once per chunk, not once per row.
         eq_cache: Dict[Tuple[Tuple[int, ...], ...], List[int]] = {}
         for row in plan.broadcast:
-            matched_b = None
-            if numpy is not None:
-                matched_b = _broadcast_numpy(row, cols, nrows, numpy,
-                                             arrays)
-            if matched_b is None:
-                matched_b = _broadcast_candidates(row, cols, nrows,
-                                                  eq_cache)
+            matched_b = _broadcast_candidates(row, cols, nrows, eq_cache)
             if matched_b:
                 _mark(row.star_set, matched_b, vis)
         return vis
@@ -489,68 +478,6 @@ def _broadcast_candidates(
         # passed for every row of the chunk.
         return range(nrows)
     return candidates
-
-
-def _broadcast_numpy(
-    row: CompiledRow, cols: Columns, nrows: int, numpy: Any,
-    arrays: Dict[int, Any],
-) -> Optional[Sequence[int]]:
-    """The vectorized variant of :func:`_broadcast_candidates`.
-
-    Returns ``None`` when the row is not profitably or safely
-    vectorizable — constraint-store residuals, or comparisons numpy
-    refuses (mixed-type interval bounds) — in which case the caller
-    falls back to the pure pass, whose semantics (including raised
-    ``TypeError`` on genuinely incomparable values) are the reference.
-    """
-    if row.binding_spec is not None:
-        return None
-    if not row.eq_groups and not row.interval_checks:
-        return None
-
-    def arr(position: int) -> Any:
-        cached = arrays.get(position)
-        if cached is None:
-            arrays[position] = cached = numpy.asarray(cols[position])
-        return cached
-
-    try:
-        match = None
-        for group in row.eq_groups:
-            base = arr(group[0])
-            for position in group[1:]:
-                eq = base == arr(position)
-                if eq is False or eq is True:
-                    # dtype clash collapsed to a scalar: every pair
-                    # compares equal/unequal wholesale.
-                    eq = numpy.full(nrows, bool(eq))
-                match = eq if match is None else (match & eq)
-        for position, interval in row.interval_checks:
-            norm = interval.normalized()
-            column = arr(position)
-            if norm.lo is not None:
-                bound = (column > norm.lo) if norm.lo_strict \
-                    else (column >= norm.lo)
-                match = bound if match is None else (match & bound)
-            if norm.hi is not None:
-                bound = (column < norm.hi) if norm.hi_strict \
-                    else (column <= norm.hi)
-                match = bound if match is None else (match & bound)
-            for value in norm.excluded:
-                # Per-value != rather than isin: isin would promote
-                # the excluded values to the column dtype (int 3 to
-                # "3" against a string column), widening the
-                # exclusion beyond the pure path's semantics.
-                bound = column != value
-                if bound is True or bound is False:
-                    bound = numpy.full(nrows, bool(bound))
-                match = bound if match is None else (match & bound)
-    except TypeError:
-        return None
-    if match is None:  # pragma: no cover - guarded above
-        return None
-    result: List[int] = numpy.flatnonzero(match).tolist()
-    return result
 
 
 def _compile_row(meta: MetaTuple, store: ConstraintStore) -> Optional[
@@ -779,8 +706,7 @@ def compile_mask(mask: Mask) -> CompiledMask:
 
 
 def apply_mask_columnar(compiled: CompiledMask, answer: Relation,
-                        drop_fully_masked: bool = False,
-                        use_numpy: bool = False) -> Tuple[Tuple, ...]:
+                        drop_fully_masked: bool = False) -> Tuple[Tuple, ...]:
     """Mask ``answer`` through the columnar kernel.
 
     Byte-identical to :meth:`CompiledMask.apply` and to the
@@ -788,13 +714,11 @@ def apply_mask_columnar(compiled: CompiledMask, answer: Relation,
     (``tests/property/test_columnar_relation.py``); only the scan
     order differs — per-column passes over the relation's cached
     :meth:`~repro.algebra.relation.Relation.column_data` view instead
-    of per-row probes.  ``use_numpy`` additionally vectorizes the
-    broadcast passes when numpy is importable (and silently does not
-    when it isn't).
+    of per-row probes.
     """
     return compiled.apply_columns(
         answer.column_data(), len(answer.rows),
-        drop_fully_masked=drop_fully_masked, use_numpy=use_numpy,
+        drop_fully_masked=drop_fully_masked,
     )
 
 
@@ -803,7 +727,6 @@ def iter_apply_chunked(
     rows: Iterable[Row],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     drop_fully_masked: bool = False,
-    use_numpy: bool = False,
 ) -> Iterator[Tuple[Tuple, ...]]:
     """Mask a row stream chunk-by-chunk in O(chunk) memory.
 
@@ -816,7 +739,4 @@ def iter_apply_chunked(
     chunk boundaries cannot change any delivered cell.
     """
     for chunk in iter_chunks(rows, chunk_size):
-        yield compiled.apply_rows(
-            chunk, drop_fully_masked=drop_fully_masked,
-            use_numpy=use_numpy,
-        )
+        yield compiled.apply_rows(chunk, drop_fully_masked=drop_fully_masked)

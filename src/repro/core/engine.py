@@ -50,11 +50,7 @@ from repro.calculus.ast import Query, ViewDefinition
 from repro.calculus.to_algebra import compile_query
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.answer import AuthorizedAnswer
-from repro.core.cache import (
-    CacheStats,
-    DerivationCache,
-    DerivationCacheLike,
-)
+from repro.core.cache import CacheStats, DerivationCache
 from repro.core.compiled_mask import (
     CompiledMask,
     apply_mask_columnar,
@@ -101,7 +97,6 @@ class AuthorizationEngine:
         catalog: Optional[PermissionCatalog] = None,
         config: EngineConfig = DEFAULT_CONFIG,
         audit: Optional["AuditLog"] = None,
-        derivation_cache: Optional[DerivationCacheLike] = None,
     ) -> None:
         self.database = database
         self.catalog = catalog or PermissionCatalog(database.schema)
@@ -158,13 +153,9 @@ class AuthorizationEngine:
         self._selfjoin_cache: Dict[
             str, Tuple[Tuple[int, int], Dict[str, Tuple[MetaTuple, ...]]]
         ] = {}
-        #: LRU cache of mask derivations (see repro.core.cache).  An
-        #: injected cache lets the serving layer substitute its
-        #: lock-striped sharded implementation, or share one cache
-        #: between engines that share a catalog.
-        self._derivation_cache: DerivationCacheLike = (
-            derivation_cache if derivation_cache is not None
-            else DerivationCache(config.derivation_cache_size)
+        #: LRU cache of mask derivations (see repro.core.cache).
+        self._derivation_cache = DerivationCache(
+            config.derivation_cache_size
         )
         # Compiled plans and canonical keys are pure functions of the
         # (immutable) schema, so they are memoized unconditionally;
@@ -196,7 +187,7 @@ class AuthorizationEngine:
         self.catalog.revoke(view_name, user)
 
     def stats(self) -> CacheStats:
-        """Running statistics of the derivation cache."""
+        """A snapshot of the derivation cache's statistics."""
         return self._derivation_cache.stats
 
     # ------------------------------------------------------------------
@@ -485,10 +476,7 @@ class AuthorizationEngine:
         drop rows).
         """
         if compiled is not None and self.config.columnar_masks:
-            return compiled.apply_rows(
-                chunk, drop_fully_masked=drop,
-                use_numpy=self.config.columnar_numpy,
-            )
+            return compiled.apply_rows(chunk, drop_fully_masked=drop)
         relation = Relation(columns, chunk, validate=False)
         if compiled is not None:
             return compiled.apply(relation, drop_fully_masked=drop)
@@ -659,7 +647,6 @@ class AuthorizationEngine:
             delivered = apply_mask_columnar(
                 compiled, answer,
                 drop_fully_masked=self.config.drop_fully_masked_rows,
-                use_numpy=self.config.columnar_numpy,
             )
         elif compiled is not None:
             delivered = compiled.apply(

@@ -7,7 +7,7 @@ both are pinned to materializing oracles by soundlint SL005:
 * ``iter_apply_chunked`` — masking chunk by chunk must concatenate to
   exactly what the interpreted ``Mask.apply`` (and the whole-relation
   kernels) produce, for any chunk size including 1 and sizes larger
-  than the row count, numpy on or off;
+  than the row count;
 * ``iter_evaluate_optimized`` — the streaming evaluator's chunks must
   concatenate to ``evaluate_optimized``'s rows exactly, including
   order (set semantics dedupe across chunk boundaries).
@@ -19,7 +19,7 @@ with ``authorize`` lives in ``tests/test_stream.py``.
 
 from hypothesis import given, strategies as st
 
-from repro.algebra.columnar import have_numpy, iter_chunks
+from repro.algebra.columnar import iter_chunks
 from repro.algebra.optimize import (
     evaluate_optimized,
     iter_evaluate_optimized,
@@ -39,10 +39,6 @@ from tests.property.test_compiled_mask import (
 # any generated answer, and non-positive (degrades to 1 by contract).
 chunk_sizes = st.sampled_from((1, 3, 7, 100, 0))
 
-numpy_flags = (
-    st.booleans() if have_numpy() else st.just(False)
-)
-
 
 def concat(chunks):
     return tuple(row for chunk in chunks for row in chunk)
@@ -50,14 +46,13 @@ def concat(chunks):
 
 class TestChunkedApplyMatchesOracle:
     @SLOW
-    @given(masks_and_answers(), chunk_sizes, st.booleans(), numpy_flags)
-    def test_concatenation_is_byte_identical(self, case, size, drop,
-                                             numpy):
+    @given(masks_and_answers(), chunk_sizes, st.booleans())
+    def test_concatenation_is_byte_identical(self, case, size, drop):
         mask, answer = case
         compiled = compile_mask(mask)
         streamed = concat(iter_apply_chunked(
             compiled, answer.rows, chunk_size=size,
-            drop_fully_masked=drop, use_numpy=numpy,
+            drop_fully_masked=drop,
         ))
         assert streamed == mask.apply(answer, drop_fully_masked=drop)
         assert streamed == compiled.apply(answer,

@@ -6,8 +6,8 @@ PR 9's columnar data plane must change *nothing* observable:
   ``CompiledMask.apply_rows``) must be byte-identical to the
   interpreted oracle ``Mask.apply`` and to the PR 4 row kernel
   ``CompiledMask.apply`` — same cells, same row order, same
-  ``drop_fully_masked`` behaviour — with the numpy broadcast path on
-  or off (soundlint SL005 pins this suite to that pair);
+  ``drop_fully_masked`` behaviour (soundlint SL005 pins this suite to
+  that pair);
 * the :class:`Relation` columnar view (``column_data`` /
   ``from_columns`` / ``column_values``) must round-trip rows exactly;
 * ``Interval.membership`` (the hoisted closure the kernel evaluates
@@ -18,7 +18,6 @@ PR 9's columnar data plane must change *nothing* observable:
 
 from hypothesis import given, strategies as st
 
-from repro.algebra.columnar import have_numpy
 from repro.algebra.relation import Column, Relation
 from repro.algebra.types import INTEGER
 from repro.config import DEFAULT_CONFIG
@@ -34,30 +33,24 @@ from tests.property.test_compiled_mask import (
     seeds,
 )
 
-# Exercise the numpy broadcast path only where the library exists; the
-# pure path is always exercised (use_numpy=False).
-numpy_flags = (
-    st.booleans() if have_numpy() else st.just(False)
-)
-
 
 class TestColumnarKernelMatchesOracles:
     @SLOW
-    @given(masks_and_answers(), st.booleans(), numpy_flags)
-    def test_columnar_matches_interpreted_apply(self, case, drop, numpy):
+    @given(masks_and_answers(), st.booleans())
+    def test_columnar_matches_interpreted_apply(self, case, drop):
         mask, answer = case
         compiled = compile_mask(mask)
         assert apply_mask_columnar(
-            compiled, answer, drop_fully_masked=drop, use_numpy=numpy,
+            compiled, answer, drop_fully_masked=drop,
         ) == mask.apply(answer, drop_fully_masked=drop)
 
     @SLOW
-    @given(masks_and_answers(), st.booleans(), numpy_flags)
-    def test_apply_rows_matches_row_kernel(self, case, drop, numpy):
+    @given(masks_and_answers(), st.booleans())
+    def test_apply_rows_matches_row_kernel(self, case, drop):
         mask, answer = case
         compiled = compile_mask(mask)
         assert compiled.apply_rows(
-            answer.rows, drop_fully_masked=drop, use_numpy=numpy,
+            answer.rows, drop_fully_masked=drop,
         ) == compiled.apply(answer, drop_fully_masked=drop)
 
     @SLOW
@@ -111,16 +104,15 @@ class TestMembershipMatchesContains:
 
 class TestEndToEnd:
     @SLOW
-    @given(seeds, numpy_flags)
-    def test_engines_agree_on_workloads(self, seed, numpy):
+    @given(seeds)
+    def test_engines_agree_on_workloads(self, seed):
         generator = WorkloadGenerator(seed)
         spec = WorkloadSpec(seed=seed, relations=3, views=3, users=2,
                             rows_per_relation=8)
         workload = generator.workload(spec)
         columnar_engine = AuthorizationEngine(
             workload.database, workload.catalog,
-            DEFAULT_CONFIG.but(columnar_masks=True,
-                               columnar_numpy=numpy),
+            DEFAULT_CONFIG.but(columnar_masks=True),
         )
         row_engine = AuthorizationEngine(
             workload.database, workload.catalog,

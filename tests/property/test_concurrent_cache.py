@@ -1,16 +1,13 @@
-"""Property tests: the sharded serving cache is the single-lock cache.
+"""Property tests: the derivation cache under concurrent use.
 
-Two layers of evidence.  Sequentially, Hypothesis drives random op
-interleavings through a :class:`ShardedDerivationCache` and the
-reference :class:`DerivationCache` side by side and demands identical
-observable behaviour — every lookup result, the live-entry population,
-and the statistics.  Concurrently, thread hammers check the properties
-that cannot be shown by sequential equivalence: a lookup never returns
-an entry stored under a different token (the transparency invariant
-that makes revocation safe), statistics account for every lookup with
-no lost increments, user invalidation never touches a bystander's
-entries, and per-shard LRU keeps total occupancy within the configured
-bound.
+The serving layer shares one :class:`DerivationCache` per tenant
+between all worker threads.  Thread hammers check what that sharing
+must preserve: a lookup never returns an entry stored under a
+different token (the transparency invariant that makes revocation
+safe), statistics account for every lookup with no lost increments,
+and user invalidation never touches a bystander's entries.  A
+Hypothesis test checks that LRU eviction keeps occupancy within the
+configured capacity.
 
 Payloads are plain tagged strings: the cache stores and serves
 derivations opaquely (the engine revalidates types on the way out), so
@@ -26,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cache import DerivationCache
-from repro.serving.shards import ShardedDerivationCache
 
 pytestmark = pytest.mark.slow
 
@@ -40,86 +36,6 @@ SLOW = settings(
 
 USERS = ["ann", "bob", "cay"]
 KEYS = [f"plan{i}" for i in range(6)]
-TOKENS = [(0, 0), (0, 1), (1, 0), (2, 3)]
-
-#: One step: (opcode, user pick, key pick, token pick).
-ops = st.lists(
-    st.tuples(
-        st.sampled_from(["get", "put", "invalidate", "clear"]),
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=0, max_value=63),
-        st.integers(min_value=0, max_value=63),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-def stat_triple(cache):
-    stats = cache.stats
-    return (stats.hits, stats.misses, stats.invalidations,
-            stats.evictions)
-
-
-class TestSequentialEquivalence:
-    @SLOW
-    @given(ops, st.integers(min_value=1, max_value=7))
-    def test_sharded_matches_the_reference_cache(self, steps, shards):
-        """Same ops in, same observations out — for any shard count.
-
-        Capacity is large enough that eviction never fires: per-shard
-        LRU is the one deliberate behavioural difference, and it gets
-        its own bound test below.
-        """
-        sharded = ShardedDerivationCache(1024, shards=shards)
-        reference = DerivationCache(1024)
-        for seq, (opcode, a, b, c) in enumerate(steps):
-            user = USERS[a % len(USERS)]
-            key = KEYS[b % len(KEYS)]
-            token = TOKENS[c % len(TOKENS)]
-            if opcode == "get":
-                assert sharded.get(user, key, token) == \
-                    reference.get(user, key, token), f"step {seq}"
-            elif opcode == "put":
-                value = f"derivation#{seq}"
-                sharded.put(user, key, token, value)
-                reference.put(user, key, token, value)
-            elif opcode == "invalidate":
-                sharded.invalidate_user(user)
-                reference.invalidate_user(user)
-            else:
-                sharded.clear()
-                reference.clear()
-        assert len(sharded) == len(reference)
-        assert set(sharded.users()) == set(reference.users())
-        assert stat_triple(sharded) == stat_triple(reference)
-
-    @SLOW
-    @given(ops)
-    def test_compiled_attachments_match_too(self, steps):
-        sharded = ShardedDerivationCache(1024, shards=3)
-        reference = DerivationCache(1024)
-        for seq, (opcode, a, b, c) in enumerate(steps):
-            user = USERS[a % len(USERS)]
-            key = KEYS[b % len(KEYS)]
-            token = TOKENS[c % len(TOKENS)]
-            if opcode == "get":
-                assert sharded.get_compiled(user, key, token) == \
-                    reference.get_compiled(user, key, token), \
-                    f"step {seq}"
-            elif opcode == "put":
-                value = f"derivation#{seq}"
-                sharded.put(user, key, token, value)
-                reference.put(user, key, token, value)
-                sharded.put_compiled(user, key, token, f"kernel#{seq}")
-                reference.put_compiled(user, key, token,
-                                       f"kernel#{seq}")
-            elif opcode == "invalidate":
-                sharded.invalidate_user(user)
-                reference.invalidate_user(user)
-            else:
-                sharded.clear()
-                reference.clear()
 
 
 class TestConcurrentHammer:
@@ -129,7 +45,7 @@ class TestConcurrentHammer:
         — so a revoked user's old derivations are unservable the
         instant the catalog bumps their token, no matter how many
         threads are racing the bump."""
-        cache = ShardedDerivationCache(256, shards=4)
+        cache = DerivationCache(256)
         current = {"version": 0}
         violations = []
         stop = threading.Event()
@@ -170,7 +86,7 @@ class TestConcurrentHammer:
         """hits + misses must equal the exact number of lookups even
         when every counter is contended — a lost increment means the
         stats lock is broken."""
-        cache = ShardedDerivationCache(256, shards=4)
+        cache = DerivationCache(256)
         token = (0, 0)
         lookups_per_thread = 500
         threads = 6
@@ -199,7 +115,7 @@ class TestConcurrentHammer:
     def test_invalidation_never_touches_bystanders(self):
         """Concurrent invalidate_user('ann') storms must leave bob's
         live entries exactly as stored."""
-        cache = ShardedDerivationCache(256, shards=4)
+        cache = DerivationCache(256)
         token = (0, 0)
         stop = threading.Event()
 
@@ -230,31 +146,24 @@ class TestEvictionBound:
     @SLOW
     @given(
         st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=120),
     )
     def test_occupancy_never_exceeds_the_rounded_capacity(
-            self, capacity, shards, puts):
-        """Per-shard LRU bounds total occupancy by
-        ``shards * ceil(capacity / shards)`` — within ``shards - 1``
-        slots of the configured capacity, never unbounded."""
-        cache = ShardedDerivationCache(capacity, shards=shards)
+            self, capacity, puts):
+        """LRU eviction bounds occupancy by exactly the configured
+        capacity, and every put past it evicts one entry."""
+        cache = DerivationCache(capacity)
         token = (0, 0)
         for i in range(puts):
             cache.put("ann", f"plan{i}", token, f"d{i}")
-        per_shard = -(-capacity // shards)
-        assert len(cache) <= shards * per_shard
-        assert len(cache) <= min(puts, capacity + shards - 1)
+        assert len(cache) <= capacity
+        assert len(cache) == min(puts, capacity)
         assert cache.stats.evictions == puts - len(cache)
 
     def test_disabled_cache_stores_nothing(self):
-        cache = ShardedDerivationCache(0, shards=4)
+        cache = DerivationCache(0)
         assert not cache.enabled
         cache.put("ann", "plan0", (0, 0), "d")
         assert cache.get("ann", "plan0", (0, 0)) is None
         assert len(cache) == 0
         assert cache.stats.lookups == 0
-
-    def test_shard_count_validation(self):
-        with pytest.raises(ValueError):
-            ShardedDerivationCache(16, shards=0)

@@ -29,6 +29,7 @@ from repro.serving import (
 )
 from repro.testing import faults
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
+from repro.workloads.paperdb import EXAMPLE_1_QUERY, build_paper_engine
 from repro.workloads.scenarios import hospital_scenario
 from repro.workloads.traffic import (
     TrafficSpec,
@@ -171,6 +172,31 @@ class TestTenantIsolation:
             telemetry = server.telemetry()
         assert telemetry.cache_stats["a"].lookups > 0
         assert telemetry.cache_stats["b"].lookups == 0
+
+    def test_telemetry_cache_stats_are_snapshots(self):
+        """A telemetry reading must not move with later traffic, for an
+        adopted engine and for one the server built: subtracting a
+        before reading from an after reading counts the traffic in
+        between."""
+        workload, queries = small_workload()
+        with AuthorizationServer() as server:
+            server.adopt_tenant("adopted", build_paper_engine())
+            server.add_tenant("added", workload.database,
+                              workload.catalog)
+            requests = {
+                "adopted": ("Brown", EXAMPLE_1_QUERY),
+                "added": (workload.users[0], queries[0]),
+            }
+            before = server.telemetry()
+            for tenant, (user, query) in requests.items():
+                for _ in range(3):
+                    server.authorize(tenant, user, query)
+            after = server.telemetry()
+        for tenant in requests:
+            old, new = before.cache_stats[tenant], after.cache_stats[tenant]
+            assert new is not old
+            assert (old.hits, old.misses) == (0, 0)
+            assert (new.hits - old.hits, new.misses - old.misses) == (2, 1)
 
     def test_unknown_tenant_is_refused_synchronously(self):
         with AuthorizationServer() as server:
